@@ -27,7 +27,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/frontend_predictor.hh"
 #include "obs/metrics.hh"
@@ -96,12 +96,24 @@ struct CoreResult
 };
 
 /**
- * Cycle-driven core.  One instance runs one trace against one front
- * end; construct fresh per experiment (or restoreState() into it).
+ * Event-driven core with cycle-exact results.  Ops wait on their
+ * producers through wakeup lists and a timing wheel instead of being
+ * polled each cycle, and a cycle in which nothing can happen jumps
+ * straight to the next event (docs/timing_model.md).  One instance
+ * runs one trace against one front end; construct fresh per
+ * experiment (or restoreState() into it).
  */
 class CoreModel
 {
   public:
+    /**
+     * @throws std::invalid_argument if width, window or fuCount is 0,
+     *         or any execution latency is 0 — a machine that could
+     *         never finish, or one the scheduler cannot model exactly
+     *         — or if the window or the D-cache hit + miss latency
+     *         exceeds 65536, which would size the window ring or the
+     *         timing wheel beyond reason.
+     */
     explicit CoreModel(const CoreParams &params);
 
     /**
@@ -146,72 +158,14 @@ class CoreModel
         obs::ScopedTimer timed(phase);
 
         for (;;) {
+            // A cycle resumed mid-fetch never counts as idle, so a
+            // suspension boundary is never skipped over.
+            bool idle = false;
             if (!inFetch_) {
                 if (!(instructions_ < max_instrs &&
-                      (!traceEnded_ || !window_.empty())))
+                      (!traceEnded_ || headSeq_ != nextSeq_)))
                     return false;
-
-                // ---- Retire: in order, up to width per cycle. -------
-                unsigned retired = 0;
-                while (!window_.empty() && retired < params_.width) {
-                    const InFlight &head = window_.front();
-                    if (!head.issued || head.doneCycle > cycle_)
-                        break;
-                    // A retiring writer's value is ready by
-                    // construction; drop its writer record if it is
-                    // still the latest.
-                    if (head.op.dstReg != kNoReg &&
-                        lastWriter_[head.op.dstReg] == head.seq) {
-                        lastWriter_[head.op.dstReg] = 0;
-                    }
-                    window_.pop_front();
-                    ++instructions_;
-                    ++retired;
-                }
-
-                // ---- Issue/execute: oldest-first, <= fuCount/cycle. -
-                unsigned issued = 0;
-                const uint64_t issue_base =
-                    window_.empty() ? nextSeq_ : window_.front().seq;
-                for (auto &entry : window_) {
-                    if (issued >= params_.fuCount)
-                        break;
-                    if (entry.issued)
-                        continue;
-                    if (!sourcesReady(entry, issue_base, cycle_))
-                        continue;
-                    entry.issued = true;
-                    unsigned latency = executionLatency(entry.op.cls);
-                    if (entry.op.cls == InstClass::Load ||
-                        entry.op.cls == InstClass::Store) {
-                        latency += dcache_.access(
-                            entry.op.memAddr,
-                            entry.op.cls == InstClass::Store);
-                    }
-                    entry.doneCycle = cycle_ + latency;
-                    ++issued;
-                    if (entry.mispredicted) {
-                        // Checkpoint repair: correct-path fetch
-                        // restarts the cycle after the branch resolves.
-                        fetchAllowed_ = entry.doneCycle + 1;
-                        redirectPending_ = false;
-                    }
-                }
-
-                const bool fetch_blocked =
-                    redirectPending_ || cycle_ < fetchAllowed_;
-                if (fetch_blocked && !traceEnded_) {
-                    if (stallKind_ != BranchKind::None)
-                        ++stallByKind_[static_cast<size_t>(stallKind_)];
-                    else if (btbStallPending_)
-                        ++btbMissStall_;
-                }
-                if (!traceEnded_ && !fetch_blocked) {
-                    stallKind_ = BranchKind::None;
-                    btbStallPending_ = false;
-                    fetched_ = 0;
-                    inFetch_ = true;
-                }
+                idle = retireIssueAndOpenFetch();
             }
 
             // ---- Fetch/dispatch: <= width, stopping at taken CTIs.
@@ -220,7 +174,7 @@ class CoreModel
             // re-enters the same fetch group mid-cycle.
             if (inFetch_) {
                 while (fetched_ < params_.width &&
-                       window_.size() < params_.window) {
+                       nextSeq_ - headSeq_ < params_.window) {
                     if (totalFetched_ == stop_after_fetched)
                         return true;  // suspended at an op boundary
                     MicroOp op;
@@ -229,25 +183,14 @@ class CoreModel
                         break;
                     }
                     ++totalFetched_;
-                    PredictionOutcome outcome =
+                    const PredictionOutcome outcome =
                         frontend.onInstruction(op);
-
-                    InFlight entry;
-                    entry.op = op;
-                    entry.seq = nextSeq_++;
-                    for (unsigned s = 0; s < 2; ++s) {
-                        const RegIndex reg = op.srcRegs[s];
-                        entry.srcSeq[s] =
-                            reg == kNoReg ? 0 : lastWriter_[reg];
-                    }
-                    if (op.dstReg != kNoReg)
-                        lastWriter_[op.dstReg] = entry.seq;
-                    entry.mispredicted =
+                    const bool mispredicted =
                         op.isBranch() && !outcome.correct;
-                    window_.push_back(entry);
+                    dispatch(op, mispredicted);
                     ++fetched_;
 
-                    if (entry.mispredicted) {
+                    if (mispredicted) {
                         // Wrong-path fetch until this branch executes.
                         redirectPending_ = true;
                         stallKind_ = op.branch;
@@ -269,8 +212,11 @@ class CoreModel
                         break;  // one taken control transfer per group
                 }
                 inFetch_ = false;
+                idle = idle && fetched_ == 0;
             }
 
+            if (idle)
+                skipIdleCycles();
             ++cycle_;
         }
     }
@@ -310,22 +256,79 @@ class CoreModel
     void forkFrom(const CoreModel &other);
 
   private:
-    struct InFlight
+    /// No dependent: the end of an intrusive dependents list.
+    static constexpr uint32_t kNoLink = UINT32_MAX;
+
+    /**
+     * One in-flight op in the window ring, at index seq & ringMask_.
+     * Holds only what retire, issue and wakeup read; the full MicroOp
+     * sits in ops_ for saveState().
+     */
+    struct Slot
     {
-        MicroOp op;
-        uint64_t seq = 0;
-        uint64_t srcSeq[2] = {0, 0};  ///< producing seq, 0 = ready
-        uint64_t doneCycle = 0;
-        bool issued = false;
-        bool mispredicted = false;
+        uint64_t srcSeq[2];  ///< producing seq, 0 = ready at dispatch
+        uint64_t doneCycle;  ///< valid once issued; 0 before
+        uint64_t memAddr;
+        uint64_t readyAt;    ///< earliest issue cycle known so far
+        /// Head of the list of ops waiting on this one.  A link is
+        /// (consumer slot << 1) | source index, so an op can sit in
+        /// two producers' lists at once.
+        uint32_t depHead;
+        uint32_t depNext[2];  ///< next link, per source of this op
+        uint32_t wheelNext;   ///< next slot in the same wheel bucket
+        InstClass cls;
+        RegIndex dstReg;
+        uint8_t pending;  ///< producers not yet issued
+        bool issued;
+        bool mispredicted;
     };
 
-    bool sourcesReady(const InFlight &entry, uint64_t base_seq,
-                      uint64_t cycle) const;
+    /** Retire, issue and fetch-stall accounting of one cycle, then
+     *  opens its fetch group if fetch may proceed.  Returns true when
+     *  nothing retired and nothing issued. */
+    bool retireIssueAndOpenFetch();
+
+    /** Enters @p op as the youngest in-flight op. */
+    void dispatch(const MicroOp &op, bool mispredicted);
+
+    /** Executes the op in @p slot this cycle and wakes its dependents. */
+    void issue(size_t slot);
+
+    /** Links @p slot's source @p src to its producer @p producer. */
+    void linkSource(size_t slot, unsigned src, uint64_t producer);
+
+    /** Files @p slot in the timing-wheel bucket of its readyAt. */
+    void schedule(size_t slot);
+
+    /** After an idle cycle, advances cycle_ to the cycle before the
+     *  next event, charging the skipped fetch stalls. */
+    void skipIdleCycles();
+
+    /** Adds @p cycles to whichever fetch stall is pending. */
+    void chargeStall(uint64_t cycles);
+
+    /** Clears the wheel and ready mask and rebuilds them, with the
+     *  dependents lists, from the slots' serialized fields. */
+    void rebuildSchedule();
 
     CoreParams params_;
     DCache dcache_;
-    std::deque<InFlight> window_;
+    std::array<unsigned, kNumInstClasses> latency_;
+    uint64_t maxLatency_;  ///< longest issue-to-done time of any op
+
+    // ---- Window ring and scheduler ----------------------------------
+    // Ring and wheel sizes are powers of two and at least 64, so every
+    // bitmask is a whole number of 64-bit words.
+    size_t ringMask_;
+    std::vector<Slot> slots_;
+    std::vector<MicroOp> ops_;     ///< full ops, for saveState() only
+    std::vector<uint64_t> ready_;  ///< slots that may issue this cycle
+    /// Timing wheel: bucket b lists (through Slot::wheelNext) the
+    /// ops that become ready in the cycle congruent to b.
+    size_t wheelMask_;
+    std::vector<uint32_t> wheel_;
+    std::vector<uint64_t> wheelBusy_;  ///< bit b: bucket b non-empty
+    uint64_t headSeq_ = 1;  ///< oldest in-flight seq (= nextSeq_: empty)
 
     // ---- Resumable session state ------------------------------------
     /// Sequence number of the last writer of each register; 0 = value

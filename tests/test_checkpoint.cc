@@ -159,6 +159,104 @@ fuzzBoundaries(uint64_t seed, size_t n)
     return bounds;
 }
 
+/** Core + front end + predictor stack, checkpointed as one blob. */
+struct TRig
+{
+    PredictorStack stack;
+    FrontendPredictor frontend;
+    CoreModel core;
+
+    TRig(const IndirectConfig &c, const CoreParams &p)
+        : stack(buildStack(c)),
+          frontend(FrontendConfig{}, stack.predictor.get(),
+                   stack.tracker.get()),
+          core(p)
+    {
+    }
+
+    std::vector<uint8_t>
+    snapshot() const
+    {
+        StateWriter w;
+        core.saveState(w);
+        frontend.saveState(w);
+        stack.predictor->saveState(w);
+        stack.tracker->saveState(w);
+        return w.take();
+    }
+
+    void
+    restore(const std::vector<uint8_t> &blob)
+    {
+        StateReader r(blob);
+        core.restoreState(r);
+        frontend.restoreState(r);
+        stack.predictor->restoreState(r);
+        stack.tracker->restoreState(r);
+        r.expectEnd();
+    }
+};
+
+/**
+ * Pauses a session, restores its checkpoint into a fresh rig and
+ * resumes: final state and CoreResult must match an uninterrupted
+ * session.  Two kinds of pause, at each fuzzed boundary B: suspension
+ * inside a fetch group once B ops are fetched, and a stop between
+ * cycles once B ops have retired (max_instrs), where the next issue
+ * stage is the restored cycle's own.
+ */
+void
+expectCoreRoundTrips(uint64_t seed, const std::vector<MicroOp> &ops,
+                     const IndirectConfig &config,
+                     const CoreParams &params)
+{
+    TRig base(config, params);
+    {
+        VectorTraceSource src(ops);
+        base.core.beginSession();
+        base.core.runSession(src, base.frontend, 1u << 30,
+                             UINT64_MAX);
+    }
+    const CoreResult expected =
+        base.core.endSession(base.frontend);
+    const auto final_state = base.snapshot();
+
+    for (const bool mid_fetch : {true, false}) {
+        for (const size_t b : fuzzBoundaries(seed, ops.size())) {
+            TRig head(config, params);
+            VectorTraceSource src(ops);
+            head.core.beginSession();
+            if (mid_fetch) {
+                ASSERT_TRUE(head.core.runSession(src, head.frontend,
+                                                 1u << 30, b))
+                    << "boundary " << b;
+                ASSERT_EQ(head.core.totalFetched(), b);
+            } else {
+                ASSERT_FALSE(head.core.runSession(src, head.frontend, b,
+                                                  UINT64_MAX))
+                    << "boundary " << b;
+            }
+
+            TRig tail(config, params);
+            tail.restore(head.snapshot());
+            std::vector<MicroOp> rest(
+                ops.begin() +
+                    static_cast<ptrdiff_t>(head.core.totalFetched()),
+                ops.end());
+            VectorTraceSource rest_src(rest);
+            tail.core.runSession(rest_src, tail.frontend, 1u << 30,
+                                 UINT64_MAX);
+            const CoreResult got = tail.core.endSession(tail.frontend);
+
+            EXPECT_EQ(tail.snapshot(), final_state)
+                << "boundary " << b << " seed " << seed
+                << (mid_fetch ? " mid-fetch" : " between cycles");
+            EXPECT_EQ(got.cycles, expected.cycles) << "boundary " << b;
+            EXPECT_EQ(got.instructions, expected.instructions);
+        }
+    }
+}
+
 class CheckpointRoundTrip : public ::testing::TestWithParam<uint64_t>
 {
 };
@@ -225,8 +323,11 @@ TEST_P(CheckpointRoundTrip, SerializationIsStable)
 /**
  * Core-model analogue: suspend a session at fetched == B, serialize
  * core + front end + predictor + tracker, restore into a fresh rig,
- * resume from the suspension point.  Final state and CoreResult must
- * match an uninterrupted session.
+ * resume from the suspension point.  restoreState() rebuilds the
+ * scheduler (wakeup lists, timing wheel, ready mask) from the
+ * serialized window, so the geometries cover a non-power-of-two
+ * window, ready masks of one and several words, and a timing wheel
+ * sized for a 300-cycle memory.
  */
 TEST_P(CheckpointRoundTrip, CoreModelStateSurvivesSaveRestore)
 {
@@ -235,80 +336,81 @@ TEST_P(CheckpointRoundTrip, CoreModelStateSurvivesSaveRestore)
     const IndirectConfig config =
         taggedConfig(TaggedIndexScheme::HistoryXor, 4,
                      patternHistory(9));
-    CoreParams params;
-
-    struct TRig
-    {
-        PredictorStack stack;
-        FrontendPredictor frontend;
-        CoreModel core;
-
-        TRig(const IndirectConfig &c, const CoreParams &p)
-            : stack(buildStack(c)),
-              frontend(FrontendConfig{}, stack.predictor.get(),
-                       stack.tracker.get()),
-              core(p)
-        {
+    for (const unsigned window : {4u, 48u, 128u, 200u}) {
+        for (const unsigned miss_latency : {20u, 300u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "window " << window << " missLatency "
+                         << miss_latency);
+            CoreParams params;
+            params.window = window;
+            params.dcache.missLatency = miss_latency;
+            expectCoreRoundTrips(seed, ops, config, params);
         }
-
-        std::vector<uint8_t>
-        snapshot() const
-        {
-            StateWriter w;
-            core.saveState(w);
-            frontend.saveState(w);
-            stack.predictor->saveState(w);
-            stack.tracker->saveState(w);
-            return w.take();
-        }
-
-        void
-        restore(const std::vector<uint8_t> &blob)
-        {
-            StateReader r(blob);
-            core.restoreState(r);
-            frontend.restoreState(r);
-            stack.predictor->restoreState(r);
-            stack.tracker->restoreState(r);
-            r.expectEnd();
-        }
-    };
-
-    TRig base(config, params);
-    {
-        VectorTraceSource src(ops);
-        base.core.beginSession();
-        base.core.runSession(src, base.frontend, 1u << 30,
-                             UINT64_MAX);
     }
-    const CoreResult expected =
-        base.core.endSession(base.frontend);
-    const auto final_state = base.snapshot();
+}
 
-    for (const size_t b : fuzzBoundaries(seed, ops.size())) {
-        TRig head(config, params);
-        VectorTraceSource src(ops);
-        head.core.beginSession();
-        const bool suspended = head.core.runSession(
-            src, head.frontend, 1u << 30, b);
-        ASSERT_TRUE(suspended) << "boundary " << b;
-        ASSERT_EQ(head.core.totalFetched(), b);
+/**
+ * restoreState() refuses window contents the scheduler could not be
+ * rebuilt from: a bad class or register, a gap in the seqs, a
+ * producer younger than its consumer, a completion cycle beyond the
+ * longest latency, or more ops than the window holds.
+ */
+TEST(CoreCheckpoint, RestoreRejectsInconsistentWindow)
+{
+    const CoreParams params;
+    StateWriter empty_writer;
+    CoreModel(params).saveState(empty_writer);
+    const size_t empty_size = empty_writer.size();
 
-        TRig tail(config, params);
-        tail.restore(head.snapshot());
-        std::vector<MicroOp> rest(ops.begin() +
-                                      static_cast<ptrdiff_t>(b),
-                                  ops.end());
-        VectorTraceSource rest_src(rest);
-        tail.core.runSession(rest_src, tail.frontend, 1u << 30,
-                             UINT64_MAX);
-        const CoreResult got = tail.core.endSession(tail.frontend);
-
-        EXPECT_EQ(tail.snapshot(), final_state)
-            << "boundary " << b << " seed " << seed;
-        EXPECT_EQ(got.cycles, expected.cycles) << "boundary " << b;
-        EXPECT_EQ(got.instructions, expected.instructions);
+    // A divide chain keeps the window full of waiting ops.
+    std::vector<MicroOp> ops;
+    for (int i = 0; i < 200; ++i) {
+        MicroOp op = test::plainOp(0x1000 + i * 4, InstClass::Div);
+        op.srcRegs = {10, kNoReg};
+        op.dstReg = 10;
+        ops.push_back(op);
     }
+    FrontendPredictor frontend{FrontendConfig{}};
+    CoreModel core(params);
+    VectorTraceSource src(ops);
+    core.beginSession();
+    ASSERT_TRUE(core.runSession(src, frontend, 1u << 30, 100));
+    StateWriter writer;
+    core.saveState(writer);
+    const std::vector<uint8_t> good = writer.take();
+
+    // A window entry is a MicroOp (five u64, class, kind, taken, three
+    // i16 registers: 49 bytes), its seq, two source seqs and doneCycle
+    // (u64 each), then issued and mispredicted.
+    constexpr size_t kEntryBytes = 49 + 4 * 8 + 2;
+    ASSERT_GT(good.size(), empty_size) << "window must not be empty";
+    ASSERT_EQ((good.size() - empty_size) % kEntryBytes, 0u);
+    const size_t last = good.size() - kEntryBytes;  // youngest entry
+
+    {
+        CoreModel fresh(params);
+        StateReader r(good);
+        fresh.restoreState(r);
+        r.expectEnd();
+    }
+    auto expect_rejected =
+        [&](std::vector<std::pair<size_t, uint8_t>> edits) {
+            std::vector<uint8_t> bad = good;
+            for (const auto &[offset, value] : edits)
+                bad[offset] = value;
+            CoreModel fresh(params);
+            StateReader r(bad);
+            EXPECT_THROW(fresh.restoreState(r), StateFormatError)
+                << "first edit at byte " << edits.front().first;
+        };
+    expect_rejected({{last + 40, 0xff}});                  // class
+    expect_rejected({{last + 43, 0x7f}, {last + 44, 0}});  // dstReg 127
+    expect_rejected({{last + 49, good[last + 49] ^ 1}});   // seq gap
+    expect_rejected({{last + 57 + 7, 0x7f}});  // srcSeq[0] > own seq
+    expect_rejected({{last + 73 + 7, 0x7f},    // doneCycle far ahead
+                     {last + 81, 1}});         // of an issued op
+    // The window count ends the fixed-size part of the blob.
+    expect_rejected({{empty_size - 8, 0xff}, {empty_size - 7, 0xff}});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointRoundTrip,

@@ -34,6 +34,8 @@ TEST(FuPool, TableMatchesAccessor)
                   executionLatency(static_cast<InstClass>(i)));
 }
 
+/** CoreModel's event-driven issue is exact only under this; its
+ *  constructor throws on a zero entry. */
 TEST(FuPool, AllLatenciesPositive)
 {
     for (unsigned lat : latencyTable())
