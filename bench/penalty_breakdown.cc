@@ -7,7 +7,6 @@
  */
 
 #include "bench_util.hh"
-#include "harness/sweep_kernel.hh"
 #include "workloads/workload.hh"
 
 using namespace tpred;
@@ -41,20 +40,12 @@ main(int argc, char **argv)
     };
     const auto &names = spec95Names();
     const std::vector<SharedTrace> traces = bench::recordAll(names, ops);
-    // One fused timing sweep per workload: both configs share one
-    // core trajectory until they diverge (harness/sweep_kernel.hh).
-    std::vector<IndirectConfig> batch;
-    batch.reserve(configs.size());
-    for (const auto &[label, config] : configs)
-        batch.push_back(config);
-    const auto per_workload =
-        ParallelRunner().map<std::vector<CoreResult>>(
-            names.size(),
-            [&](size_t w) { return runTimingSweep(traces[w], batch); });
-    std::vector<CoreResult> results(configs.size() * names.size());
-    for (size_t w = 0; w < names.size(); ++w)
-        for (size_t c = 0; c < configs.size(); ++c)
-            results[c * names.size() + w] = per_workload[w][c];
+    // One runTiming() job per (config x workload) cell.
+    const auto results = ParallelRunner().map<CoreResult>(
+        configs.size() * names.size(), [&](size_t j) {
+            return runTiming(traces[j % names.size()],
+                             configs[j / names.size()].second);
+        });
     for (size_t c = 0; c < configs.size(); ++c) {
         Table table;
         table.setHeader({"Benchmark", "cond", "indirect", "return",

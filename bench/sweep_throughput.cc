@@ -1,6 +1,6 @@
 /**
  * @file
- * Fused-sweep throughput, three lanes per workload:
+ * Fused-sweep throughput, two lanes per workload:
  *
  *   tagged grid   — Table 9's ten-config tagged grid: one runSweep()
  *                   pass driving all ten SoA-batched predictors vs one
@@ -8,11 +8,7 @@
  *   mixed grid    — a Table 4-9 cross-family batch (tagless GAg / GAs
  *                   / gshare, all three tagged schemes, cascaded,
  *                   BTB-only) exercising every SoA family group and
- *                   the history-tracker dedup at once;
- *   fused timing  — a tag-width sensitivity grid through
- *                   runTimingSweep(): one shared core trajectory plus
- *                   copy-on-divergence forks vs one runTiming() per
- *                   config.
+ *                   the history-tracker dedup at once.
  *
  * An untimed self-check first requires every fused result to be
  * bit-identical to its per-config reference, so the speedups are only
@@ -45,13 +41,6 @@ fold(uint64_t acc, const FrontendStats &s)
            (s.indirectJumps.hits() ^ s.allBranches.total());
 }
 
-inline uint64_t
-foldTiming(uint64_t acc, const CoreResult &r)
-{
-    return acc * 0x9E3779B97F4A7C15ull +
-           (r.cycles ^ r.frontend.indirectJumps.hits());
-}
-
 /** Table 9's ten-config tagged grid. */
 std::vector<IndirectConfig>
 taggedGrid()
@@ -81,25 +70,6 @@ mixedGrid()
                      patternHistory(16)),
         cascadedConfig(),
     };
-    return configs;
-}
-
-/**
- * Tag-width sensitivity grid for the fused timing lane: identical
- * tagged geometry, shrinking tags.  Wide tags rarely alias, so the
- * members rarely diverge from the 16-bit lead — the shape the
- * copy-on-divergence fusion is built for.
- */
-std::vector<IndirectConfig>
-timingGrid()
-{
-    std::vector<IndirectConfig> configs;
-    for (unsigned tag_bits : {16u, 15u, 14u, 13u, 12u, 11u}) {
-        IndirectConfig c =
-            taggedConfig(TaggedIndexScheme::HistoryXor, 4);
-        c.tagged.tagBits = tag_bits;
-        configs.push_back(c);
-    }
     return configs;
 }
 
@@ -217,56 +187,6 @@ accuracyLane(const SharedTrace &trace, const std::string &name,
     return r;
 }
 
-/** Timing lane: runTimingSweep() vs per-config runTiming(). */
-LaneResult
-timingLane(const SharedTrace &trace, const std::string &name,
-           const std::vector<IndirectConfig> &configs, size_t ops,
-           unsigned reps)
-{
-    // Untimed gate: cycles, stall breakdown and stats must all match
-    // the per-config path bit for bit.
-    const std::vector<CoreResult> fused_ref =
-        runTimingSweep(trace, configs);
-    for (size_t c = 0; c < configs.size(); ++c) {
-        const CoreResult ref = runTiming(trace, configs[c]);
-        if (fused_ref[c].cycles != ref.cycles ||
-            fused_ref[c].stallCyclesByKind != ref.stallCyclesByKind) {
-            std::fprintf(stderr,
-                         "FATAL: fused timing cycles disagree with "
-                         "reference on %s\n",
-                         name.c_str());
-            std::exit(1);
-        }
-        bench::requireSameStats(ref.frontend, fused_ref[c].frontend,
-                                "fused timing", name);
-    }
-
-    const size_t aggregate_ops = ops * configs.size();
-    LaneResult r;
-    uint64_t seq_sum = 0;
-    r.seqMops = bench::measureMops(aggregate_ops, reps, seq_sum, [&] {
-        uint64_t acc = 0;
-        for (const IndirectConfig &config : configs)
-            acc = foldTiming(acc, runTiming(trace, config));
-        return acc;
-    });
-    uint64_t fused_sum = 0;
-    r.fusedMops =
-        bench::measureMops(aggregate_ops, reps, fused_sum, [&] {
-            uint64_t acc = 0;
-            for (const CoreResult &res : runTimingSweep(trace, configs))
-                acc = foldTiming(acc, res);
-            return acc;
-        });
-    if (seq_sum != fused_sum) {
-        std::fprintf(stderr,
-                     "FATAL: fused timing checksums disagree on %s\n",
-                     name.c_str());
-        std::exit(1);
-    }
-    return r;
-}
-
 } // namespace
 
 int
@@ -282,11 +202,9 @@ main(int argc, char **argv)
     {
         const char *label;  ///< table + report key prefix
         std::vector<IndirectConfig> configs;
-        bool timing;
     } lanes[] = {
-        {"tagged", taggedGrid(), false},
-        {"mixed", mixedGrid(), false},
-        {"timing", timingGrid(), true},
+        {"tagged", taggedGrid()},
+        {"mixed", mixedGrid()},
     };
 
     const std::vector<std::string> names = bench::headlinePair();
@@ -306,15 +224,9 @@ main(int argc, char **argv)
                                    lane.configs.size()));
         LaneTotal total;
         for (size_t w = 0; w < names.size(); ++w) {
-            const LaneResult r =
-                lane.timing
-                    ? timingLane(traces[w], names[w], lane.configs,
-                                 ops, reps)
-                    : accuracyLane(traces[w], names[w], lane.configs,
-                                   ops, reps,
-                                   std::string(lane.label)
-                                       .append(" sweep")
-                                       .c_str());
+            const LaneResult r = accuracyLane(
+                traces[w], names[w], lane.configs, ops, reps,
+                std::string(lane.label).append(" sweep").c_str());
             total.add(ops * lane.configs.size(), r);
 
             char buf[64];

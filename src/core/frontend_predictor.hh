@@ -77,9 +77,6 @@ struct PredictionOutcome
      * satisfied from L2 (bpred/btb_hierarchy.hh).  Only ever nonzero
      * for a two-level hierarchy, and only when the branch actually
      * consumed the probe (a not-taken-predicted conditional does not).
-     * Depends solely on batch-shared front-end state, never on a batch
-     * member's predicted target — the fused timing sweep's
-     * correctness-only divergence coupling rests on that.
      */
     unsigned fetchBubbleCycles = 0;
 };
@@ -124,15 +121,6 @@ class FrontendPredictor
 
     const FrontendStats &stats() const { return stats_; }
     void resetStats() { stats_ = FrontendStats{}; }
-
-    /**
-     * Overwrites the accuracy stats wholesale.  The fused timing sweep
-     * uses this after restoring a forked member from the lead's
-     * checkpoint: the shared-class counts are the lead's own, but
-     * indirectJumps (and hence allBranches) must be the member's
-     * (harness/sweep_kernel.cc).
-     */
-    void setStats(const FrontendStats &s) { stats_ = s; }
 
     const BtbHierarchy &btb() const { return *btb_; }
     IndirectPredictor *indirect() const { return indirect_; }

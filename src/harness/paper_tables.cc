@@ -214,16 +214,6 @@ tracesFor(const TableOptions &opt, const std::vector<std::string> &names)
     });
 }
 
-/** BTB-only baseline cycles per trace, for the timing tables. */
-std::vector<uint64_t>
-baseCyclesFor(const TableOptions &opt,
-              const std::vector<SharedTrace> &traces)
-{
-    return mapJobs<uint64_t>(opt, traces.size(), [&](size_t i) {
-        return runTiming(traces[i], baselineConfig()).cycles;
-    });
-}
-
 /** The five path-history variants Tables 5, 6 and 8 sweep. */
 const std::vector<std::string> &
 pathSchemeLabels()
@@ -272,41 +262,33 @@ sweepMissRates(const TableOptions &opt,
 }
 
 /**
- * Fused timing cells: evaluates every (workload x config) pair's
- * execution-time reduction over the BTB baseline, one runTimingSweep()
- * per (workload x history-group) job, and scatters the results back
- * into (workload x config) grid order.  Cell values are bit-identical
- * to per-config runTiming() — the fusion shares one core trajectory
- * and forks members on divergence (docs/sweep_kernel.md).
+ * Timing cells: every (workload x config) pair's execution-time
+ * reduction over the BTB-only baseline, in (workload x config) grid
+ * order.  Each cell is one runTiming() job, and each workload's
+ * baseline run is one more (column 0 of its row of jobs), all in a
+ * single batch so the runner's threads stay busy to the end.
  */
 std::vector<double>
 sweepReductions(const TableOptions &opt,
                 const std::vector<SharedTrace> &traces,
-                const std::vector<uint64_t> &bases,
                 const std::vector<IndirectConfig> &configs)
 {
-    const auto groups = groupByHistory(configs);
-    const auto parts = mapJobs<std::vector<double>>(
-        opt, traces.size() * groups.size(), [&](size_t j) {
-            const size_t w = j / groups.size();
-            const auto &group = groups[j % groups.size()];
-            std::vector<IndirectConfig> batch;
-            batch.reserve(group.size());
-            for (size_t c : group)
-                batch.push_back(configs[c]);
-            std::vector<double> vals;
-            vals.reserve(group.size());
-            for (const CoreResult &r : runTimingSweep(traces[w], batch))
-                vals.push_back(execTimeReduction(bases[w], r.cycles));
-            return vals;
+    const size_t cols = 1 + configs.size();
+    const auto cycles = mapJobs<uint64_t>(
+        opt, traces.size() * cols, [&](size_t j) {
+            const size_t col = j % cols;
+            return runTiming(traces[j / cols],
+                             col == 0 ? baselineConfig()
+                                      : configs[col - 1])
+                .cycles;
         });
 
-    std::vector<double> cells(traces.size() * configs.size());
+    std::vector<double> cells;
+    cells.reserve(traces.size() * configs.size());
     for (size_t w = 0; w < traces.size(); ++w)
-        for (size_t g = 0; g < groups.size(); ++g)
-            for (size_t k = 0; k < groups[g].size(); ++k)
-                cells[w * configs.size() + groups[g][k]] =
-                    parts[w * groups.size() + g][k];
+        for (size_t col = 1; col < cols; ++col)
+            cells.push_back(execTimeReduction(cycles[w * cols],
+                                              cycles[w * cols + col]));
     return cells;
 }
 
@@ -345,22 +327,17 @@ renderReductionGrid(const TableOptions &opt,
 {
     const auto &names = headlineWorkloads();
     const auto traces = tracesFor(opt, names);
-    const auto bases = baseCyclesFor(opt, traces);
 
     const size_t rows = row_labels.size();
     const size_t cols = header.size() - 1;
     const size_t per_workload = rows * cols;
 
-    // Fused timing cells via runTimingSweep: the parallelism unit
-    // stays one job per (workload x history group), with the whole
-    // group sharing one core trajectory inside the job, so Serial and
-    // Parallel modes produce the same bits as the per-cell layout did.
     std::vector<IndirectConfig> configs;
     configs.reserve(per_workload);
     for (size_t row = 0; row < rows; ++row)
         for (size_t col = 0; col < cols; ++col)
             configs.push_back(config_at(row, col));
-    const auto cells = sweepReductions(opt, traces, bases, configs);
+    const auto cells = sweepReductions(opt, traces, configs);
 
     std::string out;
     for (size_t w = 0; w < names.size(); ++w) {
@@ -559,17 +536,15 @@ renderFig1213(const TableOptions &opt)
     const std::vector<unsigned> assocs = {1, 2, 4, 8, 16};
     const auto &names = headlineWorkloads();
     const auto traces = tracesFor(opt, names);
-    const auto bases = baseCyclesFor(opt, traces);
 
     // Per workload: cell 0 is the tagless reference, cells 1..n the
-    // tagged cache at each associativity; fused timing cells, one
-    // runTimingSweep() per (workload x history-group) job.
+    // tagged cache at each associativity.
     std::vector<IndirectConfig> configs = {taglessGshare()};
     for (unsigned ways : assocs)
         configs.push_back(
             taggedConfig(TaggedIndexScheme::HistoryXor, ways));
     const size_t per_workload = configs.size();
-    const auto cells = sweepReductions(opt, traces, bases, configs);
+    const auto cells = sweepReductions(opt, traces, configs);
 
     std::string out;
     for (size_t w = 0; w < names.size(); ++w) {

@@ -1,6 +1,5 @@
 #include "harness/sweep_kernel.hh"
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -9,7 +8,6 @@
 #include "bpred/gshare.hh"
 #include "bpred/ras.hh"
 #include "bpred/tournament.hh"
-#include "common/state_io.hh"
 #include "harness/batched_predictors.hh"
 #include "obs/metrics.hh"
 #include "trace/branch_stream.hh"
@@ -71,8 +69,8 @@ runSweep(const BranchStream &stream,
     branches_fused.inc(stream.size());
 
     // --- Batch state ----------------------------------------------
-    // SoA family groups with deduplicated trackers; the dense live
-    // lists are built once here, so the hot loop never re-tests
+    // SoA family groups with deduplicated trackers; the dense hot
+    // columns are built once here, so the hot loop never re-tests
     // "does this member have a predictor".
     BatchedPredictors batch(configs);
     history_groups.inc(batch.trackerCount());
@@ -194,216 +192,6 @@ runSweep(const BranchStream &stream,
         s.indirectJumps = batch.indirectStats(i);
         s.allBranches = shared_non_indirect;
         s.allBranches.merge(batch.indirectStats(i));
-    }
-    return out;
-}
-
-namespace
-{
-
-/**
- * Lead-relative stats for a batch member: every shared-class count is
- * the lead's own, indirectJumps is the member's, and allBranches is
- * recomposed (totals are equal by construction — both saw the same
- * branches).
- */
-FrontendStats
-memberStats(const FrontendStats &lead, const RatioStat &member_indirect)
-{
-    FrontendStats s = lead;
-    s.allBranches.setCounts(s.allBranches.hits() -
-                                s.indirectJumps.hits() +
-                                member_indirect.hits(),
-                            s.allBranches.total());
-    s.indirectJumps = member_indirect;
-    return s;
-}
-
-} // namespace
-
-std::vector<CoreResult>
-runTimingSweep(const SharedTrace &trace,
-               std::span<const IndirectConfig> configs,
-               const CoreParams &params, const FrontendConfig &fe)
-{
-    static const obs::Counter streams_built =
-        obs::globalMetrics().counter("sweep.streams_built");
-    static const obs::Counter timing_forks =
-        obs::globalMetrics().counter("sweep.timing_forks");
-    static const obs::Counter shared_cycles =
-        obs::globalMetrics().counter("sweep.shared_cycles");
-    static const obs::Counter member_cycles =
-        obs::globalMetrics().counter("sweep.member_cycles");
-    static const obs::Counter timing_runs =
-        obs::globalMetrics().counter("experiment.timing_runs");
-    static const obs::Counter replayed = obs::globalMetrics().counter(
-        "experiment.instructions_replayed");
-    static const obs::Counter cycles_simulated =
-        obs::globalMetrics().counter("core.cycles_simulated");
-    static const obs::Counter instructions_retired =
-        obs::globalMetrics().counter("core.instructions_retired");
-    static const obs::Timer phase =
-        obs::globalMetrics().timer("phase.sweep_timing");
-
-    std::vector<CoreResult> out(configs.size());
-    if (configs.empty())
-        return out;
-
-    // Partition: stateful-probe structures (ITTAGE, oracle) cannot be
-    // fused and run the plain per-config path, which does its own
-    // metric crediting.
-    std::vector<size_t> batched;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        if (BatchedPredictors::timingBatchable(configs[i]))
-            batched.push_back(i);
-        else
-            out[i] = runTiming(trace, configs[i], params, fe);
-    }
-    if (batched.empty())
-        return out;
-
-    obs::ScopedTimer timed(phase);
-    // Counter parity with N per-config runTiming() calls.
-    timing_runs.inc(batched.size());
-    replayed.inc(trace.size() * batched.size());
-
-    std::vector<IndirectConfig> bcfgs;
-    bcfgs.reserve(batched.size());
-    for (size_t i : batched)
-        bcfgs.push_back(configs[i]);
-
-    const uint64_t n = trace.size();
-    const BranchStream &stream =
-        trace.compact().branchStream([] { streams_built.inc(); });
-
-    // The batch maintains every member's predictor state — including
-    // member 0's, redundantly with the lead rig below, which is what
-    // makes the lead's prediction at a boundary readable without a
-    // (mutating) probe of the lead's own scalar predictor.
-    BatchedPredictors batch(bcfgs);
-
-    // Lead rig: member 0 as a normal per-config core + front end.
-    PredictorStack leadStack = buildStack(bcfgs[0]);
-    FrontendPredictor leadFe(fe, leadStack.predictor.get(),
-                             leadStack.tracker.get());
-    CoreModel leadCore(params);
-    CompactReplay replay = trace.replay();
-    leadCore.beginSession();
-
-    std::vector<bool> forked(bcfgs.size(), false);
-    std::vector<CoreResult> forkResults(bcfgs.size());
-
-    // Serializes member k (lead core + front end, member predictor +
-    // tracker — all pre-branch state), restores it into a fresh
-    // per-config rig, and runs that rig to completion from op @p p.
-    auto forkMember = [&](size_t k, uint64_t p) {
-        timing_forks.inc();
-        const uint64_t inherited = leadCore.cycles();
-        shared_cycles.inc(inherited);
-
-        PredictorStack stack = buildStack(bcfgs[k]);
-        FrontendPredictor forkFe(fe, stack.predictor.get(),
-                                 stack.tracker.get());
-        CoreModel forkCore(params);
-        forkCore.forkFrom(leadCore);
-
-        StateWriter w;
-        leadFe.saveState(w);
-        if (batch.hasPredictor(k)) {
-            batch.savePredictorState(k, w);
-            batch.saveTrackerState(k, w);
-        }
-        StateReader r(w.bytes());
-        forkFe.restoreState(r);
-        if (stack.predictor)
-            stack.predictor->restoreState(r);
-        if (batch.hasPredictor(k))
-            stack.tracker->restoreState(r);
-        r.expectEnd();
-        forkFe.setStats(
-            memberStats(leadFe.stats(), batch.indirectStats(k)));
-
-        CompactReplay rp = trace.replayAt(p);
-        forkCore.runSession(rp, forkFe, n, UINT64_MAX);
-        forkResults[k] = forkCore.endSession(forkFe, true);
-        member_cycles.inc(forkResults[k].cycles - inherited);
-        forked[k] = true;
-    };
-
-    std::vector<size_t> diverged;
-    for (size_t j = 0; j < stream.size(); ++j) {
-        const MicroOp op = stream.opAt(j);
-        const auto kind = static_cast<BranchKind>(stream.kind[j]);
-        if (!isIndirectNonReturn(kind)) {
-            // Batch trackers follow the branch stream directly; the
-            // lead's own tracker advances inside its rig.
-            batch.observeTrackers(op);
-            continue;
-        }
-
-        // Suspend the lead exactly before it fetches this op: its
-        // front end now holds the pre-branch state every per-config
-        // run would hold here.
-        const uint64_t p = stream.pos[j];
-        const bool suspended = leadCore.runSession(replay, leadFe, n, p);
-        assert(suspended && "indirect branch beyond session end");
-        (void)suspended;
-
-        const uint64_t next_pc = stream.target[j];
-        const std::optional<BtbPrediction> btb_pred =
-            leadFe.btb().peek(op.pc).pred;
-        batch.computePredictions(op, btb_pred.has_value(),
-                                 btb_pred ? btb_pred->target : 0);
-
-        if (btb_pred) {
-            // Divergence is possible only on a BTB hit: on a miss
-            // every config predicts the fall-through.
-            const bool lead_correct = batch.prediction(0) == next_pc;
-            diverged.clear();
-            for (size_t k : batch.live()) {
-                if (k != 0 &&
-                    (batch.prediction(k) == next_pc) != lead_correct)
-                    diverged.push_back(k);
-            }
-            for (size_t k : diverged) {
-                forkMember(k, p);
-                batch.retire(k);
-            }
-        }
-
-        batch.recordOutcomes(next_pc);
-        batch.commitPredictions();
-        batch.updateAll(next_pc);
-        batch.observeTrackers(op);
-    }
-
-    // Drain the lead to the end of the trace.
-    leadCore.runSession(replay, leadFe, n, UINT64_MAX);
-    const CoreResult lead = leadCore.endSession(leadFe, true);
-    // The lead's probe stream is the one counted pass; divergence
-    // forks are verification-style replays and never credit.
-    creditBtbCounters(leadFe.btb().hstats());
-
-    for (size_t k = 0; k < bcfgs.size(); ++k) {
-        CoreResult res;
-        if (k == 0) {
-            res = lead;
-        } else if (forked[k]) {
-            res = forkResults[k];
-        } else {
-            // Never diverged: the member's whole trajectory is the
-            // lead's.  Cycles, stalls and dcache carry over; only the
-            // indirect outcome counts are its own (and equal the
-            // lead's hit-for-hit, since correctness never differed).
-            res = lead;
-            res.frontend =
-                memberStats(lead.frontend, batch.indirectStats(k));
-            // The per-config path would have credited this member's
-            // core run; keep the deterministic counters identical.
-            cycles_simulated.inc(res.cycles);
-            instructions_retired.inc(res.instructions);
-        }
-        out[batched[k]] = res;
     }
     return out;
 }

@@ -27,25 +27,13 @@
  * allBranches is composed as shared-non-indirect + member-indirect
  * via RatioStat::merge (pure counter addition, order-free).
  *
- * Timing sweeps fuse too (runTimingSweep): one shared CoreModel
- * trajectory carries the whole batch, and a member is *forked* onto
- * its own core — via the sharded-replay StateWriter/StateReader
- * checkpoints — at the first branch where its prediction correctness
- * diverges from the lead config's (copy-on-divergence; forked members
- * continue independently and never rejoin).  Correctness is the only
- * coupling between the front end and the core, and the architectural
- * front-end trajectory is config-independent, so members agreeing
- * with the lead share its cycles exactly; see docs/sweep_kernel.md
- * for the exactness argument.
+ * Batching rule: all members of one batch share one FrontendConfig —
+ * grids that vary the front end (Table 2's 2-bit BTB column, ablation
+ * 6's tournament machine) issue one batch per front-end variant, down
+ * to a batch of one, which degenerates to exactly the per-config path.
  *
- * Batching rules (when callers must fall back to separate batches):
- * all members of one batch share one FrontendConfig — grids that vary
- * the front end (Table 2's 2-bit BTB column, ablation 6's tournament
- * machine) issue one batch per front-end variant, down to a batch of
- * one, which degenerates to exactly the per-config path.  Timing
- * batches additionally exclude ITTAGE and oracle members (stateful
- * probes — BatchedPredictors::timingBatchable); runTimingSweep routes
- * those configs through the per-config runTiming() path internally.
+ * Timing cells do not fuse: each (trace x config) timing run is its own
+ * runTiming() job on the ParallelRunner (harness/paper_tables.cc).
  */
 
 #ifndef TPRED_HARNESS_SWEEP_KERNEL_HH
@@ -88,40 +76,9 @@ runSweep(const BranchStream &stream,
          const FrontendConfig &fe = {});
 
 /**
- * Fused timing sweep: evaluates every config's timing run against
- * @p trace with one shared core trajectory plus copy-on-divergence
- * forks.
- *
- * The lead (first timing-batchable config) runs a normal per-config
- * core/front-end rig, suspended at every indirect branch via the
- * resumable-session API.  At each suspension the batch probes every
- * member's prediction purely (the lead's BTB is peeked, not looked
- * up); a member whose correctness differs from the lead's is
- * serialized — lead core + front end, member predictor + tracker, all
- * with pre-branch state — restored into a fresh per-config rig, and
- * run to completion on its own core from that exact op boundary.
- * Members that never diverge inherit the lead's cycles, stall
- * breakdown and dcache stats wholesale, with only indirectJumps /
- * allBranches recomposed from their own outcome counts.
- *
- * ITTAGE and oracle configs cannot be purely probed and take the
- * per-config runTiming() path internally (same results, no sharing).
- *
- * @return Per-config results, in batch order, bit-identical to
- *         runTiming(trace, configs[i], params, fe) for each i —
- *         cycles, penalty breakdown, stats and the deterministic
- *         core.* counters all match.
- */
-std::vector<CoreResult>
-runTimingSweep(const SharedTrace &trace,
-               std::span<const IndirectConfig> configs,
-               const CoreParams &params = {},
-               const FrontendConfig &fe = {});
-
-/**
  * Partitions config indices into groups of equal HistorySpec, first-
- * seen order — the (workload x config-group) unit the paper-table
- * drivers parallelize over.
+ * seen order — the (workload x config-group) unit the accuracy
+ * paper-table render functions parallelize over.
  */
 std::vector<std::vector<size_t>>
 groupByHistory(std::span<const IndirectConfig> configs);

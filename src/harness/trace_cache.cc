@@ -76,8 +76,8 @@ TraceCache::acquire(const std::string &workload, size_t ops,
             logTraffic("corpus-hit", workload, ops, seed);
             // Warm runs also get the derived branch stream for free:
             // adopting the stored container into the trace's lazy
-            // stream cache lets branchStream() consumers (runSweep,
-            // runTimingSweep) skip the extraction pass entirely.
+            // stream cache lets branchStream() consumers (runSweep)
+            // skip the extraction pass entirely.
             if (auto stream = corpus->loadStream(key))
                 trace->adoptBranchStream(*stream);
             return SharedTrace(std::move(trace),

@@ -57,7 +57,7 @@ class CorpusManager;
  * trace, persisting the extraction back for future warm runs.  A
  * corpus trace hit additionally adopts any stored stream into the
  * trace's lazy stream cache, so trace.branchStream() consumers
- * (runSweep, runTimingSweep) skip extraction on warm runs too.
+ * (runSweep) skip extraction on warm runs too.
  */
 class TraceCache
 {

@@ -52,7 +52,6 @@
 #ifndef TPRED_TRACE_COMPACT_TRACE_HH
 #define TPRED_TRACE_COMPACT_TRACE_HH
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -352,27 +351,6 @@ class CompactReplay
     explicit CompactReplay(const CompactTrace &trace)
         : cursor_(trace.cursor())
     {
-    }
-
-    /**
-     * Replay positioned at op @p start: the first next() produces op
-     * @p start.  The sequential decoder has no random access — the
-     * preceding ops are block-decoded and discarded — so this is for
-     * infrequent repositioning (forked timing members, shard restarts),
-     * not per-op seeking.
-     */
-    CompactReplay(const CompactTrace &trace, size_t start)
-        : cursor_(trace.cursor())
-    {
-        size_t skipped = 0;
-        while (skipped < start) {
-            const size_t want =
-                std::min(kReplayBlock, start - skipped);
-            const size_t got = cursor_.fill(buf_, want);
-            if (got == 0)
-                break;  // start beyond end: replay is exhausted
-            skipped += got;
-        }
     }
 
     bool

@@ -508,14 +508,4 @@ CoreModel::restoreState(StateReader &r)
     rebuildSchedule();
 }
 
-void
-CoreModel::forkFrom(const CoreModel &other)
-{
-    StateWriter w;
-    other.saveState(w);
-    StateReader r(w.bytes());
-    restoreState(r);
-    r.expectEnd();
-}
-
 } // namespace tpred

@@ -234,9 +234,6 @@ class CoreModel
     /** Ops fetched from the source(s) so far in this session. */
     uint64_t totalFetched() const { return totalFetched_; }
 
-    /** Cycles simulated so far in this session (fork accounting). */
-    uint64_t cycles() const { return cycle_; }
-
     /**
      * Serializes the complete session state — cycle counters, window
      * contents, register writer map, fetch/stall flags and the data
@@ -246,14 +243,6 @@ class CoreModel
 
     /** Restores a saveState() snapshot; params must match. */
     void restoreState(StateReader &r);
-
-    /**
-     * Clones another core's complete session state into this one via an
-     * in-memory saveState()/restoreState() round trip — the
-     * fork-from-checkpoint entry point of the copy-on-divergence timing
-     * sweep (harness/sweep_kernel.cc).  Params must match @p other's.
-     */
-    void forkFrom(const CoreModel &other);
 
   private:
     /// No dependent: the end of an intrusive dependents list.

@@ -5,7 +5,8 @@
  * configuration on all workloads and seeds, under non-default front
  * ends, and on hostile traces that force forEachBranch's block-decode
  * fallback — plus HistorySpec grouping, BranchStream caching, and
- * serial-vs-parallel determinism of the sweep.* counters.
+ * serial-vs-parallel determinism of the sweep.*, core.* and
+ * experiment.* counters.
  */
 
 #include <gtest/gtest.h>
@@ -311,176 +312,26 @@ TEST(SweepKernel, FusedMatchesSequentialOnHostileTraces)
                         configs[c].describe());
 }
 
-void
-expectSameCoreResult(const CoreResult &want, const CoreResult &got,
-                     const std::string &context)
-{
-    EXPECT_EQ(want.cycles, got.cycles) << context;
-    EXPECT_EQ(want.instructions, got.instructions) << context;
-    EXPECT_EQ(want.stallCyclesByKind, got.stallCyclesByKind)
-        << context << " penalty breakdown";
-    EXPECT_EQ(want.dcache.hits, got.dcache.hits) << context;
-    EXPECT_EQ(want.dcache.misses, got.dcache.misses) << context;
-    expectSameStats(want.frontend, got.frontend, context);
-}
-
-/** One config per predictor family, lead first. */
-std::vector<IndirectConfig>
-timingFamilyConfigs()
-{
-    return {
-        taglessGshare(),                                  // lead
-        baselineConfig(),                                 // BTB-only
-        taglessGshare(patternHistory(12), 9),
-        taggedConfig(TaggedIndexScheme::HistoryXor, 4),
-        taggedConfig(TaggedIndexScheme::Address, 2),
-        cascadedConfig(),
-        ittageConfig(),  // scalar: internal per-config path
-        oracleConfig(),  // scalar: internal per-config path
-    };
-}
-
 /**
- * The fused-timing equivalence claim: one shared core trajectory plus
- * copy-on-divergence forks reproduces per-config runTiming() exactly
- * — cycles, penalty breakdown, front-end stats and dcache — for every
- * predictor family (ITTAGE and the oracle ride the internal
- * per-config path) across workloads and seeds.
- */
-TEST(SweepKernel, FusedTimingMatchesPerConfig)
-{
-    const std::vector<IndirectConfig> configs = timingFamilyConfigs();
-    for (const std::string &name : {"gcc", "perl", "xlisp"}) {
-        for (uint64_t seed : {1u, 2u}) {
-            const SharedTrace trace = recordWorkload(name, 8000, seed);
-            const std::vector<CoreResult> fused =
-                runTimingSweep(trace, configs);
-            ASSERT_EQ(fused.size(), configs.size());
-            for (size_t c = 0; c < configs.size(); ++c) {
-                expectSameCoreResult(
-                    runTiming(trace, configs[c]), fused[c],
-                    name + "/seed" + std::to_string(seed) + "/" +
-                        configs[c].describe());
-            }
-        }
-    }
-}
-
-/** Non-default core and front-end parameters must fuse exactly too. */
-TEST(SweepKernel, FusedTimingMatchesPerConfigUnderAlternateMachines)
-{
-    const std::vector<IndirectConfig> configs = {
-        taglessGshare(),
-        taggedConfig(TaggedIndexScheme::HistoryXor, 4),
-        cascadedConfig(),
-    };
-    const SharedTrace trace = recordWorkload("perl", 10000);
-
-    CoreParams narrow;
-    narrow.width = 4;
-    narrow.window = 32;
-    narrow.fuCount = 4;
-    FrontendConfig tourney;
-    tourney.direction = DirectionScheme::Tournament;
-
-    const std::vector<CoreResult> fused =
-        runTimingSweep(trace, configs, narrow, tourney);
-    for (size_t c = 0; c < configs.size(); ++c)
-        expectSameCoreResult(
-            runTiming(trace, configs[c], narrow, tourney), fused[c],
-            configs[c].describe());
-}
-
-/**
- * Hostile traces force the block-decode fallback in the branch-stream
- * extractor, and the fused loop suspends the lead core at stream.pos
- * boundaries — both must stay exact there.
- */
-TEST(SweepKernel, FusedTimingMatchesPerConfigOnHostileTraces)
-{
-    // The core model contracts registers to [0, kNumArchRegs); clamp
-    // the fixture's deliberate register escapes (the accuracy tests
-    // keep them — they never touch the core).  The redirect-on-non-
-    // branch and memAddr-on-branch ops still force the fallback scan.
-    std::vector<MicroOp> ops = hostileOps(3000);
-    for (MicroOp &op : ops) {
-        if (op.dstReg != kNoReg && op.dstReg >= kNumArchRegs)
-            op.dstReg = 33;
-    }
-    const SharedTrace trace(std::move(ops), "hostile");
-    ASSERT_FALSE(trace.compact().fastBranchScan());
-    const std::vector<IndirectConfig> configs = {
-        taglessGshare(),
-        taggedConfig(TaggedIndexScheme::HistoryXor, 4),
-        cascadedConfig(),
-        baselineConfig(),
-    };
-    const std::vector<CoreResult> fused = runTimingSweep(trace, configs);
-    for (size_t c = 0; c < configs.size(); ++c)
-        expectSameCoreResult(runTiming(trace, configs[c]), fused[c],
-                             configs[c].describe());
-}
-
-/**
- * Deterministic-counter contract of the fused timing sweep: the
- * core.* and experiment.* counters must equal N per-config runTiming()
- * calls exactly, and the fork accounting (sweep.timing_forks /
- * shared_cycles / member_cycles, phase.sweep_timing) must be
- * populated.
- */
-TEST(SweepKernel, FusedTimingCountersMatchPerConfig)
-{
-    const std::vector<IndirectConfig> configs = timingFamilyConfigs();
-    const SharedTrace trace = recordWorkload("gcc", 10000);
-    (void)trace.branchStream();  // both paths see a cached stream
-
-    obs::globalMetrics().reset();
-    for (const IndirectConfig &config : configs)
-        (void)runTiming(trace, config);
-    const obs::MetricsSnapshot ref = obs::globalMetrics().snapshot();
-
-    obs::globalMetrics().reset();
-    (void)runTimingSweep(trace, configs);
-    const obs::MetricsSnapshot fused = obs::globalMetrics().snapshot();
-
-    for (const char *key :
-         {"core.cycles_simulated", "core.instructions_retired",
-          "experiment.timing_runs", "experiment.instructions_replayed"})
-        EXPECT_EQ(fused.counters.at(key), ref.counters.at(key)) << key;
-
-    // This family mix diverges quickly, so forks must have happened,
-    // and every fork splits the member's cycles into a shared prefix
-    // and a private suffix.
-    EXPECT_GT(fused.counters.at("sweep.timing_forks"), 0u);
-    EXPECT_GT(fused.counters.at("sweep.shared_cycles"), 0u);
-    EXPECT_GT(fused.counters.at("sweep.member_cycles"), 0u);
-    EXPECT_GT(fused.timers.at("phase.sweep_timing").count, 0u);
-
-    // The per-config path never forks (the counter is either absent
-    // or zero, depending on what ran earlier in this process).
-    const auto ref_forks = ref.counters.find("sweep.timing_forks");
-    EXPECT_TRUE(ref_forks == ref.counters.end() ||
-                ref_forks->second == 0u);
-}
-
-/**
- * sweep.* counters are deterministic: one-thread and four-thread
- * renders of the same fused table must produce identical values (the
- * serial-vs-parallel cell equality itself is covered by the fused
- * drivers inside test_paper_tables_differential).
+ * Deterministic counters: one-thread and four-thread renders of the
+ * same table must produce identical values (the serial-vs-parallel
+ * cell equality itself is covered by test_paper_tables_differential).
+ * Table 4 exercises the fused accuracy sweep's sweep.* counters;
+ * Table 7 the per-cell timing jobs' core.* and experiment.* counters.
  */
 TEST(SweepKernel, CountersAgreeSerialVsParallel)
 {
-    const auto run = [](unsigned threads) {
+    const auto run = [](std::string (*render)(const TableOptions &),
+                        size_t ops, unsigned threads) {
         obs::globalMetrics().reset();
         globalTraceCache().clear();
-        const TableOptions opt{/*ops=*/20000, ExecMode::Parallel,
-                               threads};
-        (void)renderTable4(opt);
+        const TableOptions opt{ops, ExecMode::Parallel, threads};
+        (void)render(opt);
         return obs::globalMetrics().snapshot();
     };
-    const obs::MetricsSnapshot serial = run(1);
-    const obs::MetricsSnapshot parallel = run(4);
+
+    const obs::MetricsSnapshot serial = run(renderTable4, 20000, 1);
+    const obs::MetricsSnapshot parallel = run(renderTable4, 20000, 4);
     EXPECT_EQ(serial.counters, parallel.counters);
     EXPECT_GT(serial.counters.at("sweep.batches"), 0u);
     EXPECT_GT(serial.counters.at("sweep.configs"),
@@ -489,6 +340,16 @@ TEST(SweepKernel, CountersAgreeSerialVsParallel)
     EXPECT_GT(serial.counters.at("sweep.branches"), 0u);
     // Two headline workloads, one cached stream each.
     EXPECT_EQ(serial.counters.at("sweep.streams_built"), 2u);
+
+    const obs::MetricsSnapshot timing_serial = run(renderTable7, 10000, 1);
+    const obs::MetricsSnapshot timing_parallel =
+        run(renderTable7, 10000, 4);
+    EXPECT_EQ(timing_serial.counters, timing_parallel.counters);
+    // Two headline workloads x (BTB-only baseline + 15 tagged cells).
+    EXPECT_EQ(timing_serial.counters.at("experiment.timing_runs"), 32u);
+    EXPECT_EQ(timing_serial.counters.at("core.instructions_retired"),
+              32u * 10000u);
+    EXPECT_GT(timing_serial.counters.at("core.cycles_simulated"), 0u);
 }
 
 } // namespace
