@@ -7,7 +7,6 @@
  */
 
 #include "bench_util.hh"
-#include "trace/trace_stats.hh"
 
 using namespace tpred;
 
@@ -18,30 +17,6 @@ main(int argc, char **argv)
         bench::setup(argc, argv, kDefaultAccuracyOps).ops;
     bench::heading("Figures 1-8: number of targets per indirect jump",
                    ops);
-
-    const auto &names = spec95Names();
-    // One job per benchmark: profile its (cached) trace and render the
-    // whole figure block; blocks print afterwards in benchmark order.
-    const auto blocks = ParallelRunner().map<std::string>(
-        names.size(), [&](size_t w) {
-            const std::string &name = names[w];
-            TraceProfile profile;
-            cachedTrace(name, ops).forEachOp([&](const MicroOp &op) {
-                profile.counts.observe(op);
-                profile.targets.observe(op);
-            });
-            Histogram hist = profile.targets.buildHistogram();
-            std::string block =
-                hist.render("Figure (" + name + "): % of dynamic "
-                            "indirect jumps by targets of their "
-                            "static site") +
-                "\n  static sites: " +
-                std::to_string(profile.targets.staticSites()) +
-                ", dynamic indirect jumps: " +
-                formatCount(profile.targets.dynamicJumps()) + "\n\n";
-            return block;
-        });
-    for (const auto &block : blocks)
-        std::printf("%s", block.c_str());
+    std::printf("%s", renderFig1to8({.ops = ops}).c_str());
     return 0;
 }

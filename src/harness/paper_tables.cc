@@ -365,6 +365,33 @@ headlineWorkloads()
 }
 
 std::string
+renderFig1to8(const TableOptions &opt)
+{
+    const auto &names = spec95Names();
+    const auto traces = tracesFor(opt, names);
+    // One block per benchmark: profile its trace and render the
+    // figure; blocks join in benchmark order.
+    const auto blocks = mapJobs<std::string>(
+        opt, names.size(), [&](size_t i) {
+            TargetProfiler targets;
+            traces[i].forEachOp(
+                [&targets](const MicroOp &op) { targets.observe(op); });
+            return targets.buildHistogram().render(
+                       "Figure (" + names[i] +
+                       "): % of dynamic indirect jumps by targets of "
+                       "their static site") +
+                   "\n  static sites: " +
+                   std::to_string(targets.staticSites()) +
+                   ", dynamic indirect jumps: " +
+                   formatCount(targets.dynamicJumps()) + "\n\n";
+        });
+    std::string out;
+    for (const auto &block : blocks)
+        out += block;
+    return out;
+}
+
+std::string
 renderTable1(const TableOptions &opt)
 {
     const auto &names = spec95Names();

@@ -119,6 +119,7 @@ const std::vector<std::string> &headlineWorkloads();
  * cells keyed by grid index — and returns the rendered text the
  * corresponding bench binary prints.
  */
+std::string renderFig1to8(const TableOptions &opt);  ///< targets/jump
 std::string renderTable1(const TableOptions &opt);   ///< BTB baseline
 std::string renderTable2(const TableOptions &opt);   ///< 2-bit strategy
 std::string renderTable4(const TableOptions &opt);   ///< tagless pattern

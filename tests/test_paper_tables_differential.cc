@@ -36,6 +36,11 @@ expectSerialParallelMatch(
     EXPECT_EQ(serial, parallel);
 }
 
+TEST(PaperTablesDifferential, Fig1to8TargetHistograms)
+{
+    expectSerialParallelMatch(renderFig1to8, kAccuracyOps);
+}
+
 TEST(PaperTablesDifferential, Table1BtbBaseline)
 {
     expectSerialParallelMatch(renderTable1, kAccuracyOps);

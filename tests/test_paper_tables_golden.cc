@@ -76,6 +76,64 @@ expectGolden(std::string (*render)(const TableOptions &), size_t ops,
     }
 }
 
+TEST(PaperTablesGolden, Fig1to8TargetHistograms)
+{
+    expectGolden(renderFig1to8, kAccuracyOps, R"golden(
+Figure (compress): % of dynamic indirect jumps by targets of their static site
+     3 | ################################################## 100.00%
+
+  static sites: 1, dynamic indirect jumps: 241
+
+Figure (gcc): % of dynamic indirect jumps by targets of their static site
+     2 | #                                                    2.71%
+     3 | ###                                                  5.76%
+     4 | #                                                    1.69%
+     7 | ###                                                  5.42%
+     8 | #####                                               10.16%
+    12 | ##########                                          19.05%
+    14 | #####                                               10.16%
+    22 | #####                                               10.16%
+ >= 30 | #################                                   34.89%
+
+  static sites: 14, dynamic indirect jumps: 1,181
+
+Figure (go): % of dynamic indirect jumps by targets of their static site
+    11 | ################################################## 100.00%
+
+  static sites: 1, dynamic indirect jumps: 559
+
+Figure (ijpeg): % of dynamic indirect jumps by targets of their static site
+     2 | ################################################## 100.00%
+
+  static sites: 2, dynamic indirect jumps: 271
+
+Figure (m88ksim): % of dynamic indirect jumps by targets of their static site
+     3 | ###                                                  5.25%
+    14 | ###############################################     94.75%
+
+  static sites: 2, dynamic indirect jumps: 724
+
+Figure (perl): % of dynamic indirect jumps by targets of their static site
+     3 | #####                                                9.55%
+     8 | #######################                             45.23%
+    21 | #######################                             45.23%
+
+  static sites: 3, dynamic indirect jumps: 995
+
+Figure (vortex): % of dynamic indirect jumps by targets of their static site
+     5 | ########################################            79.79%
+     6 | ##########                                          20.21%
+
+  static sites: 4, dynamic indirect jumps: 579
+
+Figure (xlisp): % of dynamic indirect jumps by targets of their static site
+     7 | ################################################## 100.00%
+
+  static sites: 1, dynamic indirect jumps: 1,694
+
+)golden");
+}
+
 TEST(PaperTablesGolden, Table1BtbBaseline)
 {
     expectGolden(renderTable1, kAccuracyOps, R"golden(
