@@ -101,9 +101,31 @@ SharedTrace::SharedTrace()
 {
 }
 
+namespace
+{
+
+/** Encodes up to @p max_ops ops of @p source as they are pulled. */
+CompactTrace
+recordCompact(TraceSource &source, size_t max_ops)
+{
+    // Positions are 32-bit: refuse before pulling a single op rather
+    // than after recording four billion of them.
+    if (max_ops >= UINT32_MAX)
+        throw std::length_error("SharedTrace: max_ops " +
+                                 std::to_string(max_ops) +
+                                 " exceeds the compact trace limit");
+    CompactTrace::Builder builder;
+    MicroOp op;
+    while (builder.size() < max_ops && source.next(op))
+        builder.append(op);
+    return builder.finish();
+}
+
+} // namespace
+
 SharedTrace::SharedTrace(TraceSource &source, size_t max_ops)
     : trace_(std::make_shared<const CompactTrace>(
-          CompactTrace::encode(drainTrace(source, max_ops)))),
+          recordCompact(source, max_ops))),
       name_(source.name())
 {
 }

@@ -78,7 +78,12 @@ class SharedTrace
     /** Empty trace (zero ops); assign over it to fill a result slot. */
     SharedTrace();
 
-    /** Records @p max_ops instructions of @p source. */
+    /**
+     * Records up to @p max_ops instructions of @p source, encoding
+     * each op as it is pulled (CompactTrace::Builder).
+     * @throws std::length_error when @p max_ops >= UINT32_MAX, before
+     *         any op is pulled.
+     */
     SharedTrace(TraceSource &source, size_t max_ops);
 
     /** Adopts an already-recorded op vector. */

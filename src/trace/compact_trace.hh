@@ -38,7 +38,7 @@
  * Storage is accessed through read-only spans, so a trace can be
  * backed two ways with one decoder:
  *
- *  - **owned** — encode() materializes heap vectors (behind a stable
+ *  - **owned** — a Builder materializes heap vectors (behind a stable
  *    unique_ptr, so moves never invalidate the spans);
  *  - **borrowed** — fromColumns() views caller-provided memory, e.g.
  *    an mmap'd corpus file (src/corpus/), kept alive by an opaque
@@ -107,7 +107,12 @@ class CompactTrace
     CompactTrace(CompactTrace &&) = default;
     CompactTrace &operator=(CompactTrace &&) = default;
 
-    /** Losslessly encodes @p ops (any sequence, coherent or not). */
+    class Builder;
+
+    /**
+     * Losslessly encodes @p ops (any sequence, coherent or not): a
+     * loop over Builder::append.
+     */
     static CompactTrace encode(const std::vector<MicroOp> &ops);
 
     /**
@@ -272,7 +277,7 @@ class CompactTrace
     static constexpr uint8_t kRegEscape = 0xFF;
 
     /**
-     * Heap storage for encode()-built traces.  Held behind a
+     * Heap storage for Builder-built traces.  Held behind a
      * unique_ptr so the column spans stay valid across moves of the
      * owning CompactTrace; absent entirely for view-backed traces.
      */
@@ -301,7 +306,7 @@ class CompactTrace
     void forEachBranchImpl(BranchFn fn, void *ctx) const;
 
     size_t count_ = 0;
-    /// encode() verdict: true when the O(branches) scan is applicable.
+    /// Builder verdict: true when the O(branches) scan is applicable.
     bool fastBranchScan_ = false;
 
     // Decode always reads through these spans, whether the bytes live
@@ -320,7 +325,7 @@ class CompactTrace
     std::span<const uint64_t> fallVals_;
     std::span<const uint32_t> branchPos_;   ///< control-transfer index
 
-    std::unique_ptr<OwnedColumns> owned_;   ///< encode()-built storage
+    std::unique_ptr<OwnedColumns> owned_;   ///< Builder-built storage
     std::shared_ptr<const void> backing_;   ///< borrowed-view keep-alive
 
     /**
@@ -337,6 +342,47 @@ class CompactTrace
     };
     mutable std::shared_ptr<StreamBox> streamBox_ =
         std::make_shared<StreamBox>();
+};
+
+/**
+ * Streaming encoder: the one way ops become a CompactTrace.  Each
+ * append() encodes one op straight into the growing columns, so a
+ * recording costs its compact size, never a MicroOp per op.
+ *
+ *     CompactTrace::Builder builder;
+ *     while (builder.size() < max_ops && source.next(op))
+ *         builder.append(op);
+ *     CompactTrace trace = builder.finish();
+ *
+ * finish() leaves the builder empty and ready for the next trace, so
+ * one builder can cut a stream into consecutive segments.
+ */
+class CompactTrace::Builder
+{
+  public:
+    Builder();
+
+    /**
+     * Encodes @p op as the next op of the trace.
+     * @throws std::length_error when the trace would reach
+     *         UINT32_MAX ops (positions are 32-bit).
+     */
+    void append(const MicroOp &op);
+
+    /** Ops appended since construction or the last finish(). */
+    size_t size() const { return count_; }
+
+    /** The trace of every op appended so far; resets the builder. */
+    CompactTrace finish();
+
+  private:
+    std::unique_ptr<OwnedColumns> cols_;
+    size_t count_ = 0;
+    uint64_t expectedPc_ = 0; ///< pc the previous op chains to
+    uint64_t prevMemAddr_ = 0;
+    // forEachBranch O(branches) preconditions, disproven as we go.
+    bool redirectOffBranch_ = false;
+    bool memAtBranch_ = false;
 };
 
 /**

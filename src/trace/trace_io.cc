@@ -83,8 +83,11 @@ slurp(std::istream &in)
     return buffer;
 }
 
-/** Parses the legacy v1 record stream (positioned after the version). */
-std::vector<MicroOp>
+/**
+ * Parses the legacy v1 record stream (positioned after the version),
+ * encoding each record as it is read.
+ */
+CompactTrace
 parseV1(BufferReader &reader, std::string &name_out,
         const std::string &whence)
 {
@@ -95,8 +98,7 @@ parseV1(BufferReader &reader, std::string &name_out,
     name_out = reader.getString(name_len);
 
     const uint64_t count = reader.get<uint64_t>();
-    std::vector<MicroOp> ops;
-    ops.reserve(count);
+    CompactTrace::Builder builder;
     for (uint64_t i = 0; i < count; ++i) {
         MicroOp op;
         op.pc = reader.get<uint64_t>();
@@ -110,9 +112,9 @@ parseV1(BufferReader &reader, std::string &name_out,
         op.srcRegs[0] = reader.get<int16_t>();
         op.srcRegs[1] = reader.get<int16_t>();
         op.fallthrough = op.pc + 4;
-        ops.push_back(op);
+        builder.append(op);
     }
-    return ops;
+    return builder.finish();
 }
 
 /**
@@ -128,9 +130,8 @@ parseTrace(std::shared_ptr<std::vector<uint8_t>> buffer,
         throw std::runtime_error(whence + ": not a tpred trace file");
     const uint32_t version = reader.get<uint32_t>();
     if (version == kTraceVersionLegacy) {
-        // v1 has no columnar image to adopt: decode, then encode.
-        return CompactTrace::encode(
-            parseV1(reader, name_out, whence));
+        // v1 has no columnar image to adopt: encode while parsing.
+        return parseV1(reader, name_out, whence);
     }
     if (version != kTraceVersion)
         throw std::runtime_error(

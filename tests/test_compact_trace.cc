@@ -10,9 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 
+#include <unistd.h>
+
+#include "corpus/corpus.hh"
+#include "corpus/segmented_trace.hh"
 #include "harness/paper_tables.hh"
 #include "trace/compact_trace.hh"
 #include "trace/trace_io.hh"
@@ -295,6 +302,101 @@ TEST(CompactTrace, CompactReplayMatchesDecodeAll)
     }
     EXPECT_EQ(i, ops.size());
     EXPECT_FALSE(replay.next(op));
+}
+
+TEST(CompactTrace, BuilderStartsAfreshAfterFinish)
+{
+    // One builder cut into consecutive traces (as the segmented
+    // writers use it) must encode each slice as a fresh encode would:
+    // pc chain, memory deltas and scan verdict all restart.
+    const std::vector<MicroOp> ops =
+        recordWorkload("perl", 3000).decodeOps();
+    CompactTrace::Builder builder;
+    for (size_t begin = 0; begin < ops.size(); begin += 1024) {
+        const size_t end = std::min(ops.size(), begin + 1024);
+        for (size_t i = begin; i < end; ++i)
+            builder.append(ops[i]);
+        EXPECT_EQ(builder.size(), end - begin);
+        const CompactTrace slice = builder.finish();
+        EXPECT_EQ(builder.size(), 0u);
+        const CompactTrace fresh = CompactTrace::encode(
+            std::vector<MicroOp>(ops.begin() + begin, ops.begin() + end));
+        EXPECT_EQ(slice.residentBytes(), fresh.residentBytes());
+        EXPECT_EQ(slice.fastBranchScan(), fresh.fastBranchScan());
+        const std::vector<MicroOp> decoded = slice.decodeAll();
+        ASSERT_EQ(decoded.size(), end - begin);
+        for (size_t i = begin; i < end; ++i)
+            expectOpEq(decoded[i - begin], ops[i], i);
+    }
+}
+
+/** Endless plain ops that count how often they are pulled. */
+class CountingSource : public TraceSource
+{
+  public:
+    explicit CountingSource(size_t length) : length_(length) {}
+
+    bool
+    next(MicroOp &op) override
+    {
+        if (pulls == length_)
+            return false;
+        op = MicroOp{};
+        op.pc = 0x1000 + 4 * pulls;
+        op.nextPc = op.fallthrough = op.pc + 4;
+        ++pulls;
+        return true;
+    }
+
+    std::string name() const override { return "counting"; }
+
+    size_t pulls = 0;
+
+  private:
+    size_t length_;
+};
+
+TEST(CompactTrace, RecordingRefusesImpossibleLengthsBeforePulling)
+{
+    // Positions are 32-bit.  A request that could never be encoded
+    // must fail at once, not after recording billions of ops; a
+    // regression records just the ten ops here and then fails below.
+    for (const size_t max_ops :
+         {size_t{UINT32_MAX}, size_t{5'000'000'000ull}, SIZE_MAX}) {
+        CountingSource source(10);
+        EXPECT_THROW(SharedTrace(source, max_ops), std::length_error)
+            << max_ops;
+        EXPECT_EQ(source.pulls, 0u) << max_ops;
+    }
+
+    // The largest legal request reserves nothing up front: a short
+    // source records exactly its own length.
+    CountingSource source(10);
+    const SharedTrace trace(source, size_t{UINT32_MAX} - 1);
+    EXPECT_EQ(trace.size(), 10u);
+    EXPECT_EQ(source.pulls, 10u);
+}
+
+TEST(CompactTrace, SegmentedStoresHaveNoLengthLimit)
+{
+    // Each segment restarts its positions, so a segmented store takes
+    // a key beyond the single-trace limit; a short source ends it.
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("tpred_compact_unlimited_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    {
+        CorpusManager corpus(dir);
+        const CorpusKey key{"counting", 1, 5'000'000'000ull};
+        CountingSource source(10);
+        corpus.storeSegmentedFromSource(key, source, "counting", 4);
+        const auto stored = corpus.loadSegmented(key, 4);
+        ASSERT_NE(stored, nullptr);
+        EXPECT_EQ(stored->totalOps(), 10u);
+        EXPECT_EQ(stored->segmentCount(), 3u);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CompactTrace, CompressionRatioAtLeast4x)

@@ -399,18 +399,14 @@ main(int argc, char **argv)
         SharedTrace trace = [&] {
             if (!opt.loadTrace.empty()) {
                 std::string name;
-                CompactTrace loaded =
-                    loadCompactTraceFile(opt.loadTrace, name);
-                if (loaded.size() > run.ops) {
-                    // Honour --ops as a cap on replayed trace files.
-                    std::vector<MicroOp> ops = loaded.decodeAll();
-                    ops.resize(run.ops);
-                    return SharedTrace(std::move(ops), name);
-                }
-                return SharedTrace(
-                    std::make_shared<const CompactTrace>(
-                        std::move(loaded)),
-                    name);
+                auto compact = std::make_shared<const CompactTrace>(
+                    loadCompactTraceFile(opt.loadTrace, name));
+                SharedTrace loaded(std::move(compact), name);
+                if (loaded.size() <= run.ops)
+                    return loaded;
+                // Honour --ops as a cap on replayed trace files.
+                const auto source = loaded.open();
+                return SharedTrace(*source, run.ops);
             }
             // Routed through the cache so an attached corpus (via
             // --corpus or $TPRED_CORPUS_DIR) is consulted/populated.
