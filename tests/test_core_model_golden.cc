@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "harness/paper_tables.hh"
 #include "workloads/workload.hh"
 
@@ -28,6 +31,16 @@ struct GoldenRun
     uint64_t dcacheHits;
     uint64_t dcacheMisses;
 };
+
+/**
+ * Names a run by workload and config, so gtest and ctest list it the
+ * same way on every build instead of by the struct's raw bytes.
+ */
+void
+PrintTo(const GoldenRun &golden, std::ostream *os)
+{
+    *os << golden.workload << ' ' << golden.config;
+}
 
 // Recorded from the cycle-by-cycle core.  BranchKind order: None,
 // CondDirect, UncondDirect, IndirectJump, Call, IndirectCall, Return.
