@@ -71,8 +71,10 @@ class VectorTraceSource : public TraceSource
 };
 
 /**
- * Records the full stream into memory while passing it through, so a
- * workload can be generated once and replayed across configurations.
+ * Drains up to @p max_ops ops of @p source into a plain vector: the
+ * uncompressed reference tests compare a recorded trace against.
+ * Recording itself goes through SharedTrace, which encodes each op
+ * as it is pulled and never holds the vector.
  */
 std::vector<MicroOp> drainTrace(TraceSource &source, size_t max_ops);
 
